@@ -91,119 +91,6 @@ ExecutionContext::ExecutionContext(const Network& net, kernels::Kind kind,
   }
 }
 
-void ExecutionContext::ensure_batch(std::size_t batch) {
-  if (batch <= batch_capacity_) return;
-  if (precision_ != ServePrecision::kFloat32) {
-    // Quantized buffers are sized in bytes: int8 activations are 1 byte,
-    // int16 are 2, and both engines (scalar reference included) consume the
-    // same packed panels.
-    const bool is8 = precision_ == ServePrecision::kInt8;
-    const std::size_t elem = is8 ? 1 : 2;
-    std::size_t need_bpack = 0;
-    std::size_t need_tmp = 0;
-    for (const Step& step : steps_) {
-      if (step.kind == Step::Kind::kConv) {
-        const auto* conv = static_cast<const Conv2D*>(step.layer);
-        const std::size_t patch =
-            conv->in_channels() * conv->kernel_h() * conv->kernel_w();
-        const std::size_t pixels = step.out_shape.height() * step.out_shape.width();
-        need_bpack = std::max(need_bpack,
-                              is8 ? kernels::packed_b_size_s8(batch * pixels, patch)
-                                  : kernels::packed_b_size_s16(batch * pixels, patch));
-      } else if (step.kind == Step::Kind::kLinear) {
-        const auto* lin = static_cast<const Linear*>(step.layer);
-        need_bpack = std::max(need_bpack,
-                              is8 ? kernels::packed_b_size_s8(batch, lin->in_features())
-                                  : kernels::packed_b_size_s16(batch, lin->in_features()));
-        need_tmp = std::max(need_tmp, lin->out_features() * batch);
-      }
-    }
-    qbpack_.resize(need_bpack * elem);
-    qgemm_tmp_.resize(need_tmp * elem);
-    qping_.resize(batch * max_image_elems_ * elem);
-    qpong_.resize(batch * max_image_elems_ * elem);
-    qrow_ptrs_.resize(batch);
-    batch_capacity_ = batch;
-    return;
-  }
-  if (kernel_ != kernels::Kind::kAvx2) return;
-  std::size_t need_bpack = 0;
-  std::size_t need_tmp = 0;
-  for (const Step& step : steps_) {
-    if (step.kind == Step::Kind::kConv) {
-      const auto* conv = static_cast<const Conv2D*>(step.layer);
-      const std::size_t patch = conv->in_channels() * conv->kernel_h() * conv->kernel_w();
-      const std::size_t pixels = step.out_shape.height() * step.out_shape.width();
-      need_bpack = std::max(need_bpack, kernels::packed_b_size(batch * pixels, patch));
-    } else if (step.kind == Step::Kind::kLinear) {
-      const auto* lin = static_cast<const Linear*>(step.layer);
-      need_bpack = std::max(need_bpack, kernels::packed_b_size(batch, lin->in_features()));
-      need_tmp = std::max(need_tmp, lin->out_features() * batch);
-    }
-  }
-  bpack_.resize(need_bpack);
-  gemm_tmp_.resize(need_tmp);
-  batch_ping_.resize(batch * max_image_elems_);
-  batch_pong_.resize(batch * max_image_elems_);
-  row_ptrs_.resize(batch);
-  batch_capacity_ = batch;
-}
-
-void ExecutionContext::warm_packs() {
-  if (precision_ != ServePrecision::kFloat32) {
-    const bool is8 = precision_ == ServePrecision::kInt8;
-    for (const Step& step : steps_) {
-      const float *w = nullptr, *b = nullptr;
-      std::size_t m = 0, k = 0;
-      if (step.kind == Step::Kind::kConv) {
-        const auto* conv = static_cast<const Conv2D*>(step.layer);
-        w = conv->weights().data();
-        b = conv->bias().data();
-        m = conv->out_channels();
-        k = conv->in_channels() * conv->kernel_h() * conv->kernel_w();
-      } else if (step.kind == Step::Kind::kLinear) {
-        const auto* lin = static_cast<const Linear*>(step.layer);
-        w = lin->weights().data();
-        b = lin->bias().data();
-        m = lin->out_features();
-        k = lin->in_features();
-      }
-      if (w != nullptr) {
-        if (is8) {
-          (void)qpacks_->get8(step.layer_index, w, b, m, k);
-        } else {
-          (void)qpacks_->get16(step.layer_index, w, b, m, k);
-        }
-      }
-      // Non-ReLU activations (fused or standalone) need their lookup table.
-      const Activation* act = step.fused;
-      if (step.kind == Step::Kind::kActivation) {
-        act = static_cast<const Activation*>(step.layer);
-      }
-      if (act != nullptr && act->act() != ActKind::kReLU) {
-        if (is8) {
-          (void)qpacks_->lut8(act->act());
-        } else {
-          (void)qpacks_->lut16(act->act());
-        }
-      }
-    }
-    return;
-  }
-  if (kernel_ != kernels::Kind::kAvx2 || packs_ == nullptr) return;
-  for (const Step& step : steps_) {
-    if (step.kind == Step::Kind::kConv) {
-      const auto* conv = static_cast<const Conv2D*>(step.layer);
-      packs_->get(step.layer_index, conv->weights().data(), conv->out_channels(),
-                  conv->in_channels() * conv->kernel_h() * conv->kernel_w());
-    } else if (step.kind == Step::Kind::kLinear) {
-      const auto* lin = static_cast<const Linear*>(step.layer);
-      packs_->get(step.layer_index, lin->weights().data(), lin->out_features(),
-                  lin->in_features());
-    }
-  }
-}
-
 const Tensor& Network::infer(const Tensor& input, ExecutionContext& ctx) const {
   if (&ctx.network() != this) {
     throw std::invalid_argument("Network::infer: context was built for a different network");
@@ -219,27 +106,14 @@ const Tensor& Network::infer(const Tensor& input, ExecutionContext& ctx) const {
     return ctx.arena(0);
   }
 
-  if (ctx.precision() != ServePrecision::kFloat32) {
-    if (plan_needs_generic(ctx)) {
-      throw std::invalid_argument(
-          "Network::infer: quantized serving requires a conv/pool/linear/activation/"
-          "logsoftmax plan");
-    }
+  if (runs_plan(ctx)) {
+    // A batch of one through the fused walker: identical arithmetic to
+    // infer_batch by construction, so serving's batched path and the latency
+    // path agree bit-for-bit.
     const Tensor* in_ptr = &input;
     Tensor& out = ctx.arena(steps.size() - 1);
     float* out_row = out.data();
-    run_quant_batch(&in_ptr, 1, ctx, &out_row);
-    return out;
-  }
-
-  if (ctx.kernel() == kernels::Kind::kAvx2 && !plan_needs_generic(ctx)) {
-    // Single image through the fused engine (a batch of one): identical
-    // arithmetic to infer_batch by construction, so serving's batched path
-    // and the latency path agree bit-for-bit.
-    const Tensor* in_ptr = &input;
-    Tensor& out = ctx.arena(steps.size() - 1);
-    float* out_row = out.data();
-    run_fused_batch(&in_ptr, 1, ctx, &out_row);
+    run_plan(&in_ptr, 1, ctx, &out_row);
     return out;
   }
 
@@ -264,11 +138,27 @@ const Tensor& Network::infer(const Tensor& input, ExecutionContext& ctx) const {
   return *current;
 }
 
-bool Network::plan_needs_generic(const ExecutionContext& ctx) {
-  for (const ExecutionContext::Step& step : ctx.steps()) {
-    if (step.kind == ExecutionContext::Step::Kind::kGeneric) return true;
+bool Network::runs_plan(const ExecutionContext& ctx) {
+  // run_plan executes conv/pool/linear/activation steps with at most a final
+  // LogSoftMax; other float plans take the scalar step walk.
+  const std::vector<ExecutionContext::Step>& steps = ctx.steps();
+  bool supported = true;
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    const ExecutionContext::Step::Kind kind = steps[s].kind;
+    if (kind == ExecutionContext::Step::Kind::kGeneric ||
+        (kind == ExecutionContext::Step::Kind::kLogSoftMax && s + 1 != steps.size())) {
+      supported = false;
+    }
   }
-  return false;
+  if (ctx.precision() == ServePrecision::kFloat32) {
+    return supported && ctx.kernel() == kernels::Kind::kAvx2;
+  }
+  if (!supported) {
+    throw std::invalid_argument(
+        "Network: quantized serving requires a conv/pool/linear/activation plan "
+        "with at most a final logsoftmax");
+  }
+  return true;
 }
 
 void Network::infer_batch(std::span<const Tensor* const> inputs, std::span<Tensor> outputs,
@@ -285,33 +175,17 @@ void Network::infer_batch(std::span<const Tensor* const> inputs, std::span<Tenso
       throw std::invalid_argument("Network::infer_batch: bad input shape");
     }
   }
-  if (ctx.precision() != ServePrecision::kFloat32 && !ctx.steps().empty()) {
-    if (plan_needs_generic(ctx)) {
-      throw std::invalid_argument(
-          "Network::infer_batch: quantized serving requires a conv/pool/linear/"
-          "activation/logsoftmax plan");
-    }
-    const Shape& out_shape = output_shape();
-    std::vector<float*> out_rows(inputs.size());
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      if (outputs[i].shape() != out_shape) outputs[i] = Tensor(out_shape);
-      out_rows[i] = outputs[i].data();
-    }
-    run_quant_batch(inputs.data(), inputs.size(), ctx, out_rows.data());
+  if (ctx.steps().empty() || !runs_plan(ctx)) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) outputs[i] = infer(*inputs[i], ctx);
     return;
   }
-  if (ctx.kernel() == kernels::Kind::kAvx2 && !plan_needs_generic(ctx) &&
-      !ctx.steps().empty()) {
-    const Shape& out_shape = output_shape();
-    std::vector<float*> out_rows(inputs.size());
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      if (outputs[i].shape() != out_shape) outputs[i] = Tensor(out_shape);
-      out_rows[i] = outputs[i].data();
-    }
-    run_fused_batch(inputs.data(), inputs.size(), ctx, out_rows.data());
-    return;
+  const Shape& out_shape = output_shape();
+  std::vector<float*> out_rows(inputs.size());
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    if (outputs[i].shape() != out_shape) outputs[i] = Tensor(out_shape);
+    out_rows[i] = outputs[i].data();
   }
-  for (std::size_t i = 0; i < inputs.size(); ++i) outputs[i] = infer(*inputs[i], ctx);
+  run_plan(inputs.data(), inputs.size(), ctx, out_rows.data());
 }
 
 std::vector<Tensor> Network::infer_batch(const std::vector<Tensor>& inputs,

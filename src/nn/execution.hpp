@@ -29,11 +29,15 @@
 //     scalar (see kernels.hpp), and `infer` is bit-identical to `infer_batch`
 //     within the mode.
 //
-// `Network::infer_batch` additionally *fuses* a whole micro-batch in avx2
-// mode: one im2col + one GEMM per conv/linear layer for all images at once
-// (weights stream from L2 once per layer instead of once per image), which is
-// what makes serve-side batching amortize weight traffic rather than just
-// queueing.
+// Serving contexts — avx2 float32, and int8/int16 on either engine — run
+// one fused plan walker (Network::run_plan, nn/execution_plan.cpp) whose
+// per-precision traits supply the load, pack, GEMM epilogue, pool,
+// activation and output kernels. `infer` is a batch of one through it, and
+// `Network::infer_batch` *fuses* a whole micro-batch: one im2col + one GEMM
+// per conv/linear layer for all images at once (weights stream from L2 once
+// per layer instead of once per image), which is what makes serve-side
+// batching amortize weight traffic rather than just queueing. Scalar float
+// contexts keep the per-step seed walk above.
 //
 // Training keeps the mutable path: TrainContext wraps forward(train=true) +
 // backward so the train/infer split is explicit at every call site.
@@ -132,8 +136,14 @@ class ExecutionContext {
  private:
   friend class Network;
 
-  /// Grows the avx2 batch scratch (packed-B panels, ping/pong activation
-  /// buffers, GEMM output staging) to hold `batch` fused images.
+  // Fused plan walker support (nn/execution_plan.cpp).
+
+  /// Calls `f` with the walker traits of this context's precision.
+  template <typename F>
+  void with_traits(F&& f);
+
+  /// Grows the batch scratch (packed-B panels, ping/pong activation buffers,
+  /// GEMM output staging, pack row pointers) to hold `batch` fused images.
   void ensure_batch(std::size_t batch);
 
   const Network* net_;
@@ -143,28 +153,22 @@ class ExecutionContext {
   util::aligned_vector<float> col_;
   FixedState fixed_;
 
-  // avx2 engine state (empty in scalar mode).
+  // Weight caches: float packs for avx2 float32, quantized packs otherwise.
   std::shared_ptr<kernels::PackCache> packs_;
-  util::aligned_vector<float> bpack_;       ///< packed-B panels (im2col / inputs)
-  util::aligned_vector<float> batch_ping_;  ///< fused-batch activation buffers
-  util::aligned_vector<float> batch_pong_;
-  util::aligned_vector<float> gemm_tmp_;    ///< linear GEMM output before transpose
-  util::aligned_vector<float> pool_row_;    ///< pool_plane row-collapse scratch
-  std::vector<const float*> row_ptrs_;      ///< pack_b row pointers
-  std::size_t batch_capacity_ = 0;
-  std::size_t max_image_elems_ = 0;  ///< max elements of any per-image buffer
-
-  // Quantized serving state (empty in float32 mode). The byte buffers hold
-  // int8 or int16 raw activations depending on precision_; sizes are tracked
-  // in bytes so one allocation scheme serves both widths.
   ServePrecision precision_ = ServePrecision::kFloat32;
   FixedPointFormat qformat_{};
   std::shared_ptr<kernels::QuantPackCache> qpacks_;
-  util::aligned_vector<std::uint8_t> qbpack_;  ///< packed quantized B panels
-  util::aligned_vector<std::uint8_t> qping_;   ///< quantized activation buffers
-  util::aligned_vector<std::uint8_t> qpong_;
-  util::aligned_vector<std::uint8_t> qgemm_tmp_;  ///< linear GEMM staging
-  std::vector<const void*> qrow_ptrs_;            ///< quant pack_b row pointers
+  util::aligned_vector<float> pool_row_;  ///< float pool_plane row-collapse scratch
+
+  // Fused-walker batch scratch. Sized in bytes for the precision's element
+  // width (float32, int16 or int8), so one set serves every precision.
+  util::aligned_vector<std::uint8_t> bpack_;     ///< packed-B panels (im2col / inputs)
+  util::aligned_vector<std::uint8_t> ping_;      ///< activation buffers
+  util::aligned_vector<std::uint8_t> pong_;
+  util::aligned_vector<std::uint8_t> gemm_tmp_;  ///< linear GEMM output before transpose
+  util::aligned_vector<std::uint8_t> row_ptrs_;  ///< pack_b row pointers
+  std::size_t batch_capacity_ = 0;
+  std::size_t max_image_elems_ = 0;  ///< max elements of any per-image buffer
 };
 
 /// Thread-safe free-list of contexts for one network: concurrent inference

@@ -1,22 +1,26 @@
 #include "nn/logsoftmax.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace cnn2fpga::nn {
 
+void log_softmax_row(const float* in, float* out, std::size_t n) {
+  // logp[j] = (x[j] - max) - log(sum_k exp(x[k] - max))
+  float max_val = in[0];
+  for (std::size_t i = 1; i < n; ++i) max_val = std::max(max_val, in[i]);
+  float sum = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) sum += std::exp(in[i] - max_val);
+  const float log_sum = std::log(sum);
+  for (std::size_t i = 0; i < n; ++i) out[i] = (in[i] - max_val) - log_sum;
+}
+
 Tensor LogSoftMax::forward(const Tensor& input, bool train) {
   if (input.empty()) throw std::invalid_argument("LogSoftMax: empty input");
   Tensor out(input.shape());
 
-  // logp[j] = (x[j] - max) - log(sum_k exp(x[k] - max))
-  float max_val = input[0];
-  for (std::size_t i = 1; i < input.size(); ++i) max_val = std::max(max_val, input[i]);
-  float sum = 0.0f;
-  for (std::size_t i = 0; i < input.size(); ++i) sum += std::exp(input[i] - max_val);
-  const float log_sum = std::log(sum);
-  for (std::size_t i = 0; i < input.size(); ++i) out[i] = (input[i] - max_val) - log_sum;
-
+  log_softmax_row(input.data(), out.data(), input.size());
   if (train) cached_output_ = out;
   return out;
 }
@@ -26,12 +30,7 @@ void LogSoftMax::infer_into(const Tensor& input, Tensor& out) const {
   if (out.shape() != input.shape()) {
     throw std::invalid_argument("LogSoftMax::infer_into: output arena shape mismatch");
   }
-  float max_val = input[0];
-  for (std::size_t i = 1; i < input.size(); ++i) max_val = std::max(max_val, input[i]);
-  float sum = 0.0f;
-  for (std::size_t i = 0; i < input.size(); ++i) sum += std::exp(input[i] - max_val);
-  const float log_sum = std::log(sum);
-  for (std::size_t i = 0; i < input.size(); ++i) out[i] = (input[i] - max_val) - log_sum;
+  log_softmax_row(input.data(), out.data(), input.size());
 }
 
 Tensor LogSoftMax::backward(const Tensor& grad_output) {

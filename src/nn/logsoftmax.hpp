@@ -12,6 +12,11 @@
 
 namespace cnn2fpga::nn {
 
+/// Scalar log-softmax of one n-element row (n >= 1); in == out allowed. The
+/// one copy of this arithmetic: the float layer, forward_fixed's dequantized
+/// tail and the quantized serving tail all call it, so they agree bit-for-bit.
+void log_softmax_row(const float* in, float* out, std::size_t n);
+
 class LogSoftMax final : public Layer {
  public:
   LogSoftMax() = default;

@@ -52,18 +52,19 @@ class Network {
 
   /// Reentrant inference through a caller-owned ExecutionContext
   /// (nn/execution.hpp): const, no per-call heap traffic. Scalar-pinned
-  /// contexts are bit-identical to forward(input, false); avx2-pinned
-  /// contexts run the SIMD kernel engine (within 1e-4 relative of scalar,
-  /// identical argmax — see nn/kernels/kernels.hpp). Returns the
+  /// float contexts are bit-identical to forward(input, false); avx2-pinned
+  /// ones run the SIMD kernel engine (within 1e-4 relative of scalar,
+  /// identical argmax — see nn/kernels/kernels.hpp); int8/int16 contexts run
+  /// the fixed-point engine (see nn/kernels/kernels_int.hpp). Returns the
   /// context-owned output tensor, valid until the next infer() through `ctx`.
   /// Distinct contexts may run concurrently over the same network.
   const Tensor& infer(const Tensor& input, ExecutionContext& ctx) const;
 
-  /// Fused batch inference: avx2-pinned contexts run the whole micro-batch
-  /// through ONE im2col + GEMM per conv/linear layer (weights stream from
-  /// cache once per layer, not once per image), bit-identical to per-image
-  /// infer() through the same context. Scalar contexts fall back to the
-  /// per-image seed path. `outputs[i]` is assigned the result for
+  /// Fused batch inference: avx2 float and int8/int16 contexts run the whole
+  /// micro-batch through ONE im2col + GEMM per conv/linear layer (weights
+  /// stream from cache once per layer, not once per image), bit-identical to
+  /// per-image infer() through the same context. Scalar float contexts fall
+  /// back to the per-image seed path. `outputs[i]` is assigned the result for
   /// `inputs[i]`; the spans must be the same length.
   void infer_batch(std::span<const Tensor* const> inputs, std::span<Tensor> outputs,
                    ExecutionContext& ctx) const;
@@ -99,22 +100,19 @@ class Network {
   template <typename L>
   L& add_layer(std::unique_ptr<L> layer);
 
-  /// True when the plan contains a step the fused SIMD engine cannot run.
-  static bool plan_needs_generic(const ExecutionContext& ctx);
+  /// True when infer/infer_batch through `ctx` run the fused plan walker:
+  /// every quantized context, and avx2 float contexts whose plan it supports
+  /// (conv/pool/linear/activation steps, at most a final LogSoftMax). Throws
+  /// std::invalid_argument for a quantized context with any other plan.
+  static bool runs_plan(const ExecutionContext& ctx);
 
-  /// Fused-batch SIMD executor (nn/execution_batch.cpp): runs `count` images
-  /// through one packed GEMM per conv/linear step and writes each image's
-  /// final activations to `out_rows[i]` (output_shape().elements() floats).
-  void run_fused_batch(const Tensor* const* inputs, std::size_t count,
-                       ExecutionContext& ctx, float* const* out_rows) const;
-
-  /// Quantized fused-batch executor (nn/execution_quant.cpp): runs `count`
-  /// images through the plan in the context's int8/int16 fixed-point
-  /// arithmetic (one quantized packed GEMM per conv/linear step on either
-  /// engine) and writes each image's dequantized float scores to
-  /// `out_rows[i]`.
-  void run_quant_batch(const Tensor* const* inputs, std::size_t count,
-                       ExecutionContext& ctx, float* const* out_rows) const;
+  /// Fused plan walker (nn/execution_plan.cpp): runs `count` images through
+  /// the plan in the context's precision — float32 on the avx2 engine, int8
+  /// or int16 fixed point on either engine — with one packed GEMM per
+  /// conv/linear step for the whole batch, and writes each image's float
+  /// output (dequantized for int8/int16) to `out_rows[i]`.
+  void run_plan(const Tensor* const* inputs, std::size_t count, ExecutionContext& ctx,
+                float* const* out_rows) const;
 
   std::string name_;
   Shape input_shape_;

@@ -67,7 +67,8 @@ Network make_awkward_network(int arch, std::uint64_t seed) {
     case 1: input = Shape{1, 12, 12}; break;  // 7x7 kernels
     case 2: input = Shape{2, 11, 9}; break;   // rectangular, mean pool, conv chain
     case 3: input = Shape{1, 1, 17}; break;   // pure MLP, odd feature counts
-    default: input = Shape{5, 9, 11}; break;  // 5 channels, 5x7 kernel
+    case 4: input = Shape{5, 9, 11}; break;   // 5 channels, 5x7 kernel
+    default: input = Shape{2, 10, 7}; break;  // standalone activation steps
   }
   Network net(input, "kernel_parity");
   switch (arch) {
@@ -98,11 +99,21 @@ Network make_awkward_network(int arch, std::uint64_t seed) {
       net.add_linear(4);
       net.add_logsoftmax();
       break;
-    default:
+    case 4:
       net.add_conv(6, 5, 7);
       net.add_activation(ActKind::kReLU);
       net.add_max_pool(2, 2);
       net.add_linear(6);
+      net.add_logsoftmax();
+      break;
+    default:
+      // Neither activation follows a conv/linear, so both stay standalone
+      // kActivation steps: one on the raw input, one on pooled maps.
+      net.add_activation(ActKind::kReLU);
+      net.add_conv(5, 3, 3);
+      net.add_max_pool(2, 2);
+      net.add_activation(ActKind::kTanh);
+      net.add_linear(7);
       net.add_logsoftmax();
       break;
   }
@@ -111,7 +122,7 @@ Network make_awkward_network(int arch, std::uint64_t seed) {
   return net;
 }
 
-constexpr int kArchCount = 5;
+constexpr int kArchCount = 6;
 
 #define SKIP_WITHOUT_AVX2()                                        \
   do {                                                             \
