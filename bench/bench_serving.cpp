@@ -26,9 +26,10 @@
 //      per-request latency with the design pinned to the scalar kernel engine
 //      (the pre-kernel-engine serving baseline) vs the AVX2 fused-batch
 //      engine. Gated: SIMD p50 must be >= 2x better where AVX2 exists.
-//   4. Deploy latency, registry miss vs. hit. A miss runs the entire
-//      generator pipeline (validate, codegen, tcl, HLS estimate); a hit
-//      returns the resident instance.
+//   4. Deploy latency, registry miss vs. hit. A miss validates the
+//      descriptor, builds the network and runs the HLS estimate (no C++/tcl
+//      rendering: serving never reads those artifacts); a hit returns the
+//      resident instance.
 //   5. (--overload) Overload behavior. 16 flood threads push the HTTP predict
 //      handler against a queue capped at 64: sheds must answer 429 with
 //      Retry-After immediately (max reject latency is gated — the accept path
@@ -155,7 +156,7 @@ Throughput measure_throughput(const core::NetworkDescriptor& descriptor,
   // per-image infer — so serving must match this reference bit-for-bit
   // either way).
   nn::Network reference = descriptor.build_network();
-  nn::deserialize_weights(reference, design->weights);
+  nn::deserialize_weights(reference, nn::serialize_weights(design->net));
   nn::ExecutionContext ref_ctx(reference);
   std::vector<tensor::Tensor> images;
   std::vector<tensor::Tensor> expected;
@@ -784,8 +785,8 @@ ShardedResult measure_sharded(bool quick) {
     out.deploy_ok = false;
   }
 
-  // Two fleets behind identical router plumbing; deploys regenerate the
-  // design in each worker, so give them generator-pipeline headroom.
+  // Two fleets behind identical router plumbing; deploys rebuild the design
+  // in each worker, so give them deploy-pipeline headroom.
   serve::shard::RouterConfig baseline_config;
   baseline_config.replication = 1;
   baseline_config.worker.client.read_timeout_ms = 60000;
@@ -1327,7 +1328,7 @@ int main(int argc, char** argv) {
 
   const DeployLatency deploy = measure_deploy(kDeployRounds);
   const double deploy_speedup = deploy.miss_us / deploy.hit_us;
-  std::printf("deploy latency      miss: %9.1f us  (full generator pipeline)\n",
+  std::printf("deploy latency      miss: %9.1f us  (validate + build + HLS estimate)\n",
               deploy.miss_us);
   std::printf("deploy latency      hit:  %9.1f us  (%.0fx faster)\n", deploy.hit_us,
               deploy_speedup);

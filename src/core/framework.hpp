@@ -6,7 +6,8 @@
 // Output: the synthesizable C++ source, the three tcl scripts, and — our
 //         substitute for running Vivado — the HLS simulator's latency and
 //         utilization report, with warnings when the design does not fit
-//         the selected board.
+//         the selected board. report() computes only the last part, for
+//         callers (the serving registry) that never read the artifacts.
 #pragma once
 
 #include <map>
@@ -21,13 +22,18 @@
 
 namespace cnn2fpga::core {
 
-struct GeneratedDesign {
+/// The validated descriptor, its HLS latency/utilization estimate and the
+/// placement warnings: everything generate() produces except the artifacts.
+struct DesignReport {
   NetworkDescriptor descriptor;
+  hls::HlsReport hls_report;
+  std::vector<std::string> warnings;
+};
+
+struct GeneratedDesign : DesignReport {
   std::string cpp_file_name;   ///< "<name>.cpp"
   std::string cpp_source;
   std::map<std::string, std::string> tcl_files;
-  hls::HlsReport hls_report;
-  std::vector<std::string> warnings;
 
   /// Write every artifact (C++ + tcl + report.txt) into a directory.
   void write_to(const std::string& directory) const;
@@ -35,8 +41,12 @@ struct GeneratedDesign {
 
 class Framework {
  public:
-  /// Generate from a descriptor and an already-trained network. The network
-  /// must structurally match the descriptor.
+  /// Validate the descriptor and estimate the design without rendering any
+  /// artifact. The network must structurally match the descriptor.
+  static DesignReport report(const NetworkDescriptor& descriptor, const nn::Network& trained);
+
+  /// report() plus the C++ source and tcl scripts. The network must
+  /// structurally match the descriptor.
   static GeneratedDesign generate(const NetworkDescriptor& descriptor,
                                   const nn::Network& trained);
 
@@ -52,8 +62,9 @@ class Framework {
                                                       std::uint64_t seed);
 
   /// Content hash of (canonical descriptor JSON, weight blob): the serving
-  /// registry's cache key. generate() is a pure function of these two inputs,
-  /// so equal keys imply identical artifacts and an identical HLS report.
+  /// registry's cache key. report() and generate() are pure functions of these
+  /// two inputs, so equal keys imply identical artifacts and an identical HLS
+  /// report.
   static std::string cache_key(const NetworkDescriptor& descriptor,
                                const std::vector<std::uint8_t>& weight_file);
 };

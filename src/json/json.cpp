@@ -367,15 +367,21 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Append the run of plain bytes up to the next quote, backslash or raw
+      // control character in one call (a base64 weight blob is one long run).
+      std::size_t end = pos_;
+      while (end < text_.size()) {
+        const unsigned char b = static_cast<unsigned char>(text_[end]);
+        if (b == '"' || b == '\\' || b < 0x20) break;
+        ++end;
+      }
+      out.append(text_, pos_, end - pos_);
+      pos_ = end;
       const char c = take();
       if (c == '"') break;
-      if (static_cast<unsigned char>(c) < 0x20) {
+      if (c != '\\') {
         --pos_;
         fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
       }
       const char esc = take();
       switch (esc) {

@@ -122,6 +122,7 @@ void im2col_pack(const float* in, std::size_t c_stride, std::size_t channels,
   // Depth index k = (c*kh + ky)*kw + kx matches the (c, m, n) patch order of
   // Conv2D::infer_into's im2col, so a packed GEMM against pack_a(weights)
   // computes the same dot products as the seed path.
+  (void)ih;  // the patch walk needs only the output extent and the row width
   (void)n_total;
   const std::size_t depth_stride = kPanelCols;  // one k step inside a panel
   std::size_t k = 0;

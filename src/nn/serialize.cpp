@@ -66,9 +66,11 @@ class Reader {
 
 }  // namespace
 
-std::vector<std::uint8_t> serialize_weights(Network& net) {
+std::vector<std::uint8_t> serialize_weights(const Network& net) {
   std::vector<std::uint8_t> out(kMagic, kMagic + kMagicLen);
-  const std::vector<Param> params = net.params();
+  // params() hands out mutable tensor pointers for the trainer; this only
+  // reads through them.
+  const std::vector<Param> params = const_cast<Network&>(net).params();
   put_u32(out, static_cast<std::uint32_t>(params.size()));
   for (const Param& p : params) {
     put_u32(out, static_cast<std::uint32_t>(p.name.size()));
@@ -86,7 +88,7 @@ std::vector<std::uint8_t> serialize_weights(Network& net) {
   return out;
 }
 
-void save_weights(Network& net, const std::string& path) {
+void save_weights(const Network& net, const std::string& path) {
   util::write_file_bytes(path, serialize_weights(net));
 }
 

@@ -25,8 +25,8 @@
 namespace cnn2fpga::nn {
 
 /// Serialize all learnable parameters of the network.
-std::vector<std::uint8_t> serialize_weights(Network& net);
-void save_weights(Network& net, const std::string& path);
+std::vector<std::uint8_t> serialize_weights(const Network& net);
+void save_weights(const Network& net, const std::string& path);
 
 /// Load parameters into an already-constructed network of the same
 /// architecture. Throws std::runtime_error with a descriptive message on

@@ -1,5 +1,6 @@
 #include "serve/backend/backend.hpp"
 
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -36,6 +37,7 @@ void run_reference_batch(DeployedDesign& design,
     throw std::logic_error("run_reference_batch: inputs/outputs size mismatch");
   }
   if (inputs.empty()) return;
+  const auto start = std::chrono::steady_clock::now();
   auto ctx = design.contexts.acquire();
   const core::NetworkDescriptor& descriptor = design.descriptor();
   if (design.precision != nn::ServePrecision::kFloat32) {
@@ -62,6 +64,10 @@ void run_reference_batch(DeployedDesign& design,
     // the same context (kernel chunk-invariance contract).
     design.net.infer_batch(inputs, outputs, *ctx);
   }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  design.backend_state(BackendId::kCpu)
+      .measured_seconds_per_image.observe(seconds / static_cast<double>(inputs.size()));
   design.served.fetch_add(inputs.size(), std::memory_order_relaxed);
 }
 

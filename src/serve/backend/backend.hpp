@@ -118,7 +118,9 @@ class InferenceBackend {
 /// and failure domain. Float designs run the fused infer_batch path
 /// (bit-identical to per-image infer by the kernel chunk-invariance
 /// contract); fixed designs run per-image forward_fixed through the same
-/// leased context.
+/// leased context. The host compute time feeds the design's CPU
+/// measured_seconds_per_image, whichever backend ran it: it is the same
+/// computation the CPU backend would have done.
 void run_reference_batch(DeployedDesign& design,
                          std::span<const tensor::Tensor* const> inputs,
                          std::span<tensor::Tensor> outputs);

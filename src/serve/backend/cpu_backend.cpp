@@ -1,7 +1,5 @@
 #include "serve/backend/cpu_backend.hpp"
 
-#include <chrono>
-
 #include "nn/kernels/kernels.hpp"
 
 namespace cnn2fpga::serve {
@@ -32,14 +30,7 @@ double CpuBackend::estimate_batch_seconds(const DeployedDesign& design,
 void CpuBackend::run_batch(DeployedDesign& design,
                            std::span<const tensor::Tensor* const> inputs,
                            std::span<tensor::Tensor> outputs) {
-  const auto start = std::chrono::steady_clock::now();
   run_reference_batch(design, inputs, outputs);
-  if (!inputs.empty()) {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    design.backend_state(BackendId::kCpu)
-        .measured_seconds_per_image.observe(seconds / static_cast<double>(inputs.size()));
-  }
 }
 
 void CpuBackend::warm(DeployedDesign& design) const {

@@ -7,8 +7,11 @@
 // owning the executor lifecycle.
 //
 // Cost signal: the first measurement of a design's real per-image execution
-// time seeds an EWMA stored on the design (BackendServeState); until then the
-// estimate assumes parity with the generated hardware's single-image latency
+// time seeds an EWMA stored on the design (BackendServeState). Every host
+// execution of the design feeds it, the accelerator's functional run
+// included, so a stalled CPU batch cannot pin the design to the fabric: the
+// next spilled batch measures the host again. Before the first measurement
+// the estimate assumes parity with the generated hardware's single-image latency
 // (invocation_seconds(1)) so a cold design's placement is decided by queue
 // pressure rather than a fictitious speed advantage for either engine.
 #pragma once
@@ -30,7 +33,7 @@ class CpuBackend final : public InferenceBackend {
   double estimate_batch_seconds(const DeployedDesign& design,
                                 std::size_t images) const override;
 
-  /// Times the reference execution and feeds the design's measured per-image
+  /// The reference execution, which feeds the design's measured per-image
   /// EWMA, so estimates track the engine this host actually has.
   void run_batch(DeployedDesign& design, std::span<const tensor::Tensor* const> inputs,
                  std::span<tensor::Tensor> outputs) override;

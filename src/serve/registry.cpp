@@ -86,7 +86,7 @@ DesignRegistry::DesignRegistry(std::size_t capacity, ServeMetrics* metrics,
       faults_(faults) {}
 
 DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
-                                     std::vector<std::uint8_t> weights,
+                                     const std::vector<std::uint8_t>& weights,
                                      nn::ServePrecision precision) {
   // The registry is content-addressed over (descriptor, weights, precision):
   // the serving arithmetic changes what a deployed instance computes, so the
@@ -110,8 +110,8 @@ DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
     ++stats_.misses;
   }
 
-  // Fault site: exercised before the expensive generation so an injected
-  // deploy failure costs nothing and leaves no half-built state behind.
+  // Fault site: exercised before the expensive build so an injected deploy
+  // failure costs nothing and leaves no half-built state behind.
   if (faults_ != nullptr) {
     faults_->inject_latency("registry.deploy");
     if (faults_->should_fail_alloc("registry.deploy")) throw std::bad_alloc();
@@ -120,14 +120,15 @@ DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
     }
   }
 
-  // Generate outside the lock: the pipeline (codegen + HLS estimate) is the
-  // expensive part, and concurrent deploys of *different* designs should not
-  // serialize on it. A racing deploy of the same key is resolved below.
+  // Build outside the lock: the network, the HLS estimate and the quantized
+  // probes are the expensive part, and concurrent deploys of *different*
+  // designs should not serialize on them. A racing deploy of the same key is
+  // resolved below.
   nn::Network net = descriptor.build_network();
   nn::deserialize_weights(net, weights);
-  core::GeneratedDesign generated = core::Framework::generate(descriptor, net);
+  core::DesignReport report = core::Framework::report(descriptor, net);
   auto fresh = std::make_shared<DeployedDesign>(
-      key, std::move(generated), std::move(net), std::move(weights), precision,
+      key, std::move(report), std::move(net), precision,
       breaker_config_, metrics_ != nullptr ? &metrics_->breaker_opens : nullptr);
   if (precision != nn::ServePrecision::kFloat32) {
     // Anchor the quantized instance to the fixed-point accuracy model before

@@ -1,13 +1,15 @@
 // Content-addressed registry of deployed designs.
 //
-// Deploying a design means running the whole cnn2fpga pipeline — descriptor
-// validation, C++/tcl generation, the HLS latency/utilization estimate — and
-// materializing a ready-to-run reference network. All of that is a pure
-// function of (descriptor JSON, weight blob), so the registry keys deployed
-// designs by Framework::cache_key over exactly those inputs: a repeat deploy
-// of the same network is a cache hit that skips regeneration entirely and
-// returns the already-warm instance. Capacity is LRU-bounded; evicted designs
-// stay alive (shared_ptr) until their last in-flight batch completes.
+// Deploying a design means validating the descriptor, running the HLS
+// latency/utilization estimate (core::Framework::report) and materializing a
+// ready-to-run reference network. Serving never reads the synthesizable C++
+// or the tcl scripts, so a deploy renders neither; POST /api/v1/generate
+// returns those artifacts. All of this is a pure function of (descriptor JSON,
+// weight blob), so the registry keys deployed designs by Framework::cache_key
+// over exactly those inputs: a repeat deploy of the same network is a cache
+// hit that rebuilds nothing and returns the already-warm instance. Capacity is
+// LRU-bounded; evicted designs stay alive (shared_ptr) until their last
+// in-flight batch completes.
 #pragma once
 
 #include <array>
@@ -41,8 +43,10 @@ struct BackendServeState {
   std::atomic<std::uint64_t> batches{0};    ///< batches executed on this backend
   std::atomic<std::uint64_t> images{0};     ///< images served on this backend
   std::atomic<bool> warmed{false};          ///< backend deploy-time warm-up done
-  /// Measured per-image execution seconds (CpuBackend feeds this from actual
-  /// batch wall time; the accelerator's timing comes from the model instead).
+  /// Measured per-image execution seconds of the host engine. Only the CPU
+  /// state's EWMA is fed: run_reference_batch times every host execution,
+  /// including the accelerator's functional run (before its modeled sleep);
+  /// the accelerator's own timing comes from the model instead.
   EwmaSeconds measured_seconds_per_image;
 };
 
@@ -65,7 +69,8 @@ struct QuantReport {
 };
 
 /// A design deployed for serving. `net` is the executable reference network
-/// with the deploy weights loaded. Weights are frozen after deploy, so any
+/// with the deploy weights loaded (nn::serialize_weights(net) recovers the
+/// canonical blob). Weights are frozen after deploy, so any
 /// number of threads may run Network::infer concurrently — each batch checks
 /// an ExecutionContext out of `contexts` and runs without a lock (at the
 /// design's deployed serving precision). Only the *modeled* accelerator
@@ -73,14 +78,12 @@ struct QuantReport {
 /// physical IP core, and AcceleratorBackend enforces a single in-flight
 /// invocation (see backend/accel_backend.hpp).
 struct DeployedDesign {
-  DeployedDesign(std::string id_in, core::GeneratedDesign design_in, nn::Network net_in,
-                 std::vector<std::uint8_t> weights_in,
+  DeployedDesign(std::string id_in, core::DesignReport design_in, nn::Network net_in,
                  nn::ServePrecision precision_in = nn::ServePrecision::kFloat32,
                  BreakerConfig breaker_config = {}, Counter* breaker_opens = nullptr)
       : id(std::move(id_in)),
         design(std::move(design_in)),
         net(std::move(net_in)),
-        weights(std::move(weights_in)),
         precision(precision_in),
         contexts(net, nn::kernels::active(), precision_in),
         backends{{BackendServeState{breaker_config, breaker_opens},
@@ -93,9 +96,8 @@ struct DeployedDesign {
   }
 
   const std::string id;                      ///< content hash (cache key)
-  const core::GeneratedDesign design;        ///< artifacts + HLS report
+  const core::DesignReport design;           ///< descriptor, HLS report, warnings
   const nn::Network net;                     ///< weights loaded, ready to run
-  const std::vector<std::uint8_t> weights;   ///< canonical CNN2FPGAW1 blob
   const nn::ServePrecision precision;        ///< serving arithmetic of every batch
   /// Quantization-quality report; filled by the registry right after a fresh
   /// quantized deploy (before the design is published), then immutable.
@@ -169,7 +171,7 @@ class DesignRegistry {
   /// against the fixed-point accuracy model before being published (see
   /// DeployedDesign::quant).
   DeployOutcome deploy(const core::NetworkDescriptor& descriptor,
-                       std::vector<std::uint8_t> weights,
+                       const std::vector<std::uint8_t>& weights,
                        nn::ServePrecision precision = nn::ServePrecision::kFloat32);
 
   /// Deploy with seed-derived random weights (paper Test 4 style). The seed

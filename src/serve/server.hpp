@@ -2,8 +2,10 @@
 // web API.
 //
 // The paper's framework stops when the artifacts are generated; this layer is
-// the deployment half: POST /api/v1/deploy runs the generator (or hits the
-// content-addressed cache) and keeps a ready-to-run instance resident, and
+// the deployment half: POST /api/v1/deploy validates and estimates the design
+// (or hits the content-addressed cache) and keeps a ready-to-run instance
+// resident without rendering the C++/tcl artifacts (POST /api/v1/generate
+// returns those), and
 // POST /api/v1/predict pushes images through the micro-batching pipeline against
 // a deployed design. Handlers follow the same transport-free convention as
 // web::handle_* so the test suite can exercise them without sockets.

@@ -284,6 +284,50 @@ TEST(Backends, AcceleratorVirtualClockAdvancesByTheModel) {
   EXPECT_EQ(accel.max_observed_concurrency(), 1u);
 }
 
+TEST(Backends, AcceleratorRunsRemeasureTheHostSoAStalledCpuBatchDoesNotPin) {
+  // One stalled CPU batch inflates the design's measured per-image time. The
+  // cost placer then sends every batch to the fabric; if only CPU batches fed
+  // the EWMA, nothing would ever correct it. The fabric's functional run is
+  // the same host computation, so its batches re-measure the host and the
+  // placer returns to the choice it made before the stall: the CPU, wherever
+  // the host runs this small network faster than the modeled driver round
+  // trip (every optimized build).
+  DesignRegistry registry(4);
+  const auto design = deploy(registry, "bx_unpin");
+  Executor executor(1);
+  CpuBackend cpu(executor);
+  AcceleratorBackend accel({.sleep_for_model = false});
+  const Placer placer(PlacerPolicy::kCost);
+  constexpr std::size_t kBatch = 4;
+  constexpr std::size_t kAccelBatches = 64;  // leaves 0.8^64 < 1e-6 of the stall
+  const auto placed = [&] {
+    const BackendSnapshot snapshots[] = {
+        {BackendId::kCpu, cpu.estimate_batch_seconds(*design, kBatch), 0, 1, true},
+        {BackendId::kAccelerator, accel.estimate_batch_seconds(*design, kBatch), 0, 1, true},
+    };
+    return placer.place(snapshots).ranked.front().id;
+  };
+
+  std::vector<tensor::Tensor> images;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    images.push_back(test_image(i, design->net.input_shape()));
+  }
+  std::vector<const tensor::Tensor*> inputs;
+  for (const tensor::Tensor& image : images) inputs.push_back(&image);
+  std::vector<tensor::Tensor> outputs(kBatch);
+  cpu.run_batch(*design, inputs, outputs);
+  const BackendId before_stall = placed();
+
+  EwmaSeconds& measured = design->backend_state(BackendId::kCpu).measured_seconds_per_image;
+  measured.observe(1.0);  // a one-second-per-image stall
+  ASSERT_EQ(placed(), BackendId::kAccelerator);
+
+  for (std::size_t i = 0; i < kAccelBatches; ++i) accel.run_batch(*design, inputs, outputs);
+  EXPECT_EQ(measured.samples(), 2 + kAccelBatches);
+  EXPECT_LT(measured.value(), 0.01);
+  EXPECT_EQ(placed(), before_stall);
+}
+
 TEST(Backends, AcceleratorSerializesConcurrentDispatches) {
   DesignRegistry registry(4);
   const auto design = deploy(registry, "bx_serial");

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "json/json.hpp"
 
@@ -38,6 +39,56 @@ TEST(JsonParse, StringsAndEscapes) {
   EXPECT_THROW(json::parse(R"("\ud83d")"), json::JsonError);   // unpaired surrogate
   EXPECT_THROW(json::parse(R"("\x41")"), json::JsonError);     // bad escape
   EXPECT_THROW(json::parse("\"raw\ncontrol\""), json::JsonError);
+}
+
+TEST(JsonParse, ControlCharacterRejectedAtEveryOffsetOfALongString) {
+  // Plain bytes are copied a run at a time; every raw control character must
+  // still stop the run and be rejected at its own column.
+  constexpr std::size_t kLength = 300;
+  const std::string plain(kLength, 'a');
+  ASSERT_EQ(json::parse('"' + plain + '"').as_string(), plain);
+  for (std::size_t offset = 0; offset < kLength; ++offset) {
+    std::string body = plain;
+    body[offset] = static_cast<char>(offset % 0x20);  // 0x00 .. 0x1f
+    try {
+      json::parse('"' + body + '"');
+      FAIL() << "control byte accepted at offset " << offset;
+    } catch (const json::JsonError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("raw control character"), std::string::npos) << what;
+      // Columns are 1-based and the opening quote is column 1.
+      const std::string where = "line 1, column " + std::to_string(offset + 2) + ":";
+      EXPECT_NE(what.find(where), std::string::npos) << "offset " << offset << ": " << what;
+    }
+  }
+}
+
+TEST(JsonParse, EscapesAtTheEdgesOfPlainRuns) {
+  const std::string run(1000, 'x');
+  EXPECT_EQ(json::parse(R"("\n)" + run + R"(")").as_string(), "\n" + run);
+  EXPECT_EQ(json::parse(R"(")" + run + R"(\n")").as_string(), run + "\n");
+  EXPECT_EQ(json::parse(R"("\"\\\/")").as_string(), "\"\\/");        // escapes only
+  EXPECT_EQ(json::parse(R"("a\tbAc")").as_string(), "a\tbAc");  // one-byte runs
+  EXPECT_EQ(json::parse(R"(")" + run + R"(é)" + run + R"(")").as_string(),
+            run + "\xc3\xa9" + run);
+  EXPECT_EQ(json::parse("\"caf\xc3\xa9 \xf0\x9f\x98\x80\"").as_string(),
+            "caf\xc3\xa9 \xf0\x9f\x98\x80");  // raw UTF-8 stays in the run
+  EXPECT_EQ(json::parse(R"("")").as_string(), "");
+  EXPECT_THROW(json::parse(R"(")" + run + R"(\q")"), json::JsonError);
+}
+
+TEST(JsonParse, UnterminatedLongStringIsRejected) {
+  const std::string run(100000, 'y');
+  try {
+    json::parse('"' + run);
+    FAIL() << "unterminated string accepted";
+  } catch (const json::JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("unexpected end of input"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(json::parse('"' + run + '\\'), json::JsonError);
+  EXPECT_THROW(json::parse('"' + run + "\\u00"), json::JsonError);
+  EXPECT_THROW(json::parse("{\"k\": \"" + run), json::JsonError);
 }
 
 TEST(JsonParse, ArraysAndObjects) {

@@ -122,6 +122,59 @@ TEST(Registry, ExplicitWeightsContentAddressing) {
   EXPECT_EQ(second.design.get(), first.design.get());
 }
 
+TEST(Registry, DeployReportMatchesFrameworkGenerate) {
+  // A deploy runs Framework::report, not generate: the HLS numbers and the
+  // warnings a client sees must be exactly those of the full generator.
+  const std::string usps_input = R"("input": {"channels": 1, "height": 16, "width": 16})";
+  const std::string cifar_input = R"("input": {"channels": 3, "height": 32, "width": 32})";
+  const std::string conv6 =
+      R"({"type": "conv", "feature_maps_out": 6, "kernel": 5,
+          "pool": {"type": "max", "kernel": 2, "step": 2}})";
+  const std::string cifar_layers =
+      R"({"type": "conv", "feature_maps_out": 12, "kernel": 5,
+          "pool": {"type": "max", "kernel": 2, "step": 2}},
+         {"type": "conv", "feature_maps_out": 36, "kernel": 5,
+          "pool": {"type": "max", "kernel": 2, "step": 2}},
+         {"type": "linear", "neurons": 36, "activation": "tanh"},
+         {"type": "linear", "neurons": 10})";
+  const auto body = [](const std::string& name, const std::string& board, bool optimize,
+                       const std::string& input, const std::string& layers) {
+    return util::format(R"({"name": "%s", "board": "%s", "optimize": %s, %s, "layers": [%s]})",
+                        name.c_str(), board.c_str(), optimize ? "true" : "false",
+                        input.c_str(), layers.c_str());
+  };
+  const std::string usps_tail = R"({"type": "linear", "neurons": 10})";
+  const std::string designs[] = {
+      body("paper_test1", "zedboard", false, usps_input, conv6 + "," + usps_tail),
+      body("paper_test2", "zedboard", true, usps_input, conv6 + "," + usps_tail),
+      body("paper_test3", "zedboard", true, usps_input,
+           conv6 + R"(, {"type": "conv", "feature_maps_out": 16, "kernel": 5},)" + usps_tail),
+      body("paper_test4", "zedboard", true, cifar_input, cifar_layers),
+      body("test4_on_zybo", "zybo", true, cifar_input, cifar_layers),
+  };
+
+  DesignRegistry registry(8);
+  for (const std::string& text : designs) {
+    const core::NetworkDescriptor d = core::NetworkDescriptor::from_json_text(text);
+    const core::GeneratedDesign generated = core::Framework::generate_with_random_weights(d, 3);
+    const DeployOutcome deployed = registry.deploy_random(d, 3);
+    ASSERT_FALSE(deployed.cache_hit) << d.name;
+    const core::DesignReport& report = deployed.design->design;
+    EXPECT_EQ(report.hls_report.latency_cycles, generated.hls_report.latency_cycles) << d.name;
+    EXPECT_EQ(report.hls_report.fits(), generated.hls_report.fits()) << d.name;
+    EXPECT_EQ(report.warnings, generated.warnings) << d.name;
+    EXPECT_EQ(report.hls_report.to_string(), generated.hls_report.to_string()) << d.name;
+    EXPECT_EQ(report.descriptor.to_json().dump(), generated.descriptor.to_json().dump())
+        << d.name;
+    if (d.board == "zybo") {
+      EXPECT_FALSE(report.hls_report.fits());
+      EXPECT_FALSE(report.warnings.empty());
+    } else {
+      EXPECT_TRUE(report.hls_report.fits()) << d.name;
+    }
+  }
+}
+
 TEST(Registry, LruEvictionDropsLeastRecentlyUsed) {
   DesignRegistry registry(2);
   const auto a = registry.deploy_random(small_descriptor("net_a"), 1);
@@ -516,7 +569,7 @@ TEST(Serving, ConcurrentPredictionsMatchSequentialInference) {
   // asserts the engine's contract that batched serving execution is
   // bit-identical to sequential per-image inference.
   nn::Network reference = descriptor.build_network();
-  nn::deserialize_weights(reference, design->weights);
+  nn::deserialize_weights(reference, nn::serialize_weights(design->net));
   nn::ExecutionContext ref_ctx(reference);
   std::vector<tensor::Tensor> images;
   std::vector<std::size_t> expected_class;
@@ -616,7 +669,7 @@ TEST(ServeApi, DeployPredictRoundTripMatchesDirectInference) {
   const auto design = runtime.registry().find(design_id);
   ASSERT_NE(design, nullptr);
   nn::Network reference = design->descriptor().build_network();
-  nn::deserialize_weights(reference, design->weights);
+  nn::deserialize_weights(reference, nn::serialize_weights(design->net));
   const tensor::Tensor image = test_image(42, reference.input_shape());
   nn::ExecutionContext ref_ctx(reference);
   const tensor::Tensor expected = reference.infer(image, ref_ctx);
@@ -762,7 +815,7 @@ TEST(ServeApi, QuantizedDeployServesInt8MatchingTheFixedModel) {
   const auto design = runtime.registry().find(design_id);
   ASSERT_NE(design, nullptr);
   nn::Network reference = design->descriptor().build_network();
-  nn::deserialize_weights(reference, design->weights);
+  nn::deserialize_weights(reference, nn::serialize_weights(design->net));
   const tensor::Tensor image = test_image(11, reference.input_shape());
   const nn::FixedPointFormat format =
       nn::serve_precision_format(nn::ServePrecision::kInt8);
