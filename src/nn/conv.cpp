@@ -1,6 +1,5 @@
 #include "nn/conv.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -118,53 +117,59 @@ void Conv2D::infer_into(const Tensor& input, Tensor& out, float* col,
   const std::size_t patch = in_channels_ * kernel_h_ * kernel_w_;
   const std::size_t pixels = oh * ow;
 
-  // im2col: one contiguous patch per output pixel, laid out in the exact
-  // (c, m, n) order forward() accumulates in, so the GEMM's linear dot
-  // product below replays forward()'s operation sequence verbatim.
+  // Patch-major im2col: row q holds tap q = (c, m, n) of every output pixel,
+  // rows in the (c, m, n) order forward() accumulates in.
   const float* x = input.data();
-  for (std::size_t i = 0; i < oh; ++i) {
-    for (std::size_t j = 0; j < ow; ++j) {
-      float* patch_out = col + (i * ow + j) * patch;
-      for (std::size_t c = 0; c < in_channels_; ++c) {
-        const float* xc = x + c * ih * iw;
-        for (std::size_t m = 0; m < kernel_h_; ++m) {
-          const float* row = xc + (i + m) * iw + j;
-          for (std::size_t n = 0; n < kernel_w_; ++n) *patch_out++ = row[n];
+  float* row = col;
+  for (std::size_t c = 0; c < in_channels_; ++c) {
+    const float* xc = x + c * ih * iw;
+    for (std::size_t m = 0; m < kernel_h_; ++m) {
+      for (std::size_t n = 0; n < kernel_w_; ++n) {
+        for (std::size_t i = 0; i < oh; ++i) {
+          const float* src = xc + (i + m) * iw + n;
+          for (std::size_t j = 0; j < ow; ++j) *row++ = src[j];
         }
       }
     }
   }
 
-  // Blocked GEMM: weights (out_channels x patch) times col^T (patch x pixels).
-  // Pixels are tiled so a col tile stays cache-resident across every kernel
-  // row; blocking never splits the patch reduction — each output element keeps
-  // a single accumulator seeded with the bias, which is what makes the result
-  // bit-identical to the naive loop in forward().
-  constexpr std::size_t kPixelTile = 64;
+  // Each weight tap is swept across a tile of kPixelTile output pixels whose
+  // accumulators live in a local array (registers, once vectorized). Every
+  // output keeps one accumulator seeded with the bias and receives the taps
+  // in row order q = 0..patch-1, so it sees exactly forward()'s sequence of
+  // IEEE multiplies and adds; only independent outputs run side by side.
+  // Pixels past the last full tile take the same sequence one at a time.
+  constexpr std::size_t kPixelTile = 16;
   const float* w = weights_.data();
+  const auto finish = [fused](float acc) {
+    return fused != nullptr ? Activation::apply(fused->act(), acc) : acc;
+  };
   float* o = out.data();
-  for (std::size_t p0 = 0; p0 < pixels; p0 += kPixelTile) {
-    const std::size_t p1 = std::min(pixels, p0 + kPixelTile);
-    for (std::size_t k = 0; k < out_channels_; ++k) {
-      const float* wk = w + k * patch;
-      const float bk = bias_[k];
-      float* ok = o + k * pixels;
-      if (fused == nullptr) {
-        for (std::size_t p = p0; p < p1; ++p) {
-          const float* cp = col + p * patch;
-          float acc = bk;
-          for (std::size_t q = 0; q < patch; ++q) acc += wk[q] * cp[q];
-          ok[p] = acc;
-        }
-      } else {
-        const ActKind act = fused->act();
-        for (std::size_t p = p0; p < p1; ++p) {
-          const float* cp = col + p * patch;
-          float acc = bk;
-          for (std::size_t q = 0; q < patch; ++q) acc += wk[q] * cp[q];
-          ok[p] = Activation::apply(act, acc);
-        }
+  for (std::size_t k = 0; k < out_channels_; ++k) {
+    const float* wk = w + k * patch;
+    const float bk = bias_[k];
+    float* ok = o + k * pixels;
+    std::size_t p0 = 0;
+    for (; p0 + kPixelTile <= pixels; p0 += kPixelTile) {
+      float acc[kPixelTile];
+      for (std::size_t t = 0; t < kPixelTile; ++t) acc[t] = bk;
+      const float* cq = col + p0;
+      for (std::size_t q = 0; q < patch; ++q, cq += pixels) {
+        const float wq = wk[q];
+        for (std::size_t t = 0; t < kPixelTile; ++t) acc[t] += wq * cq[t];
       }
+      // A plain store keeps the tile in whole vector registers; with the
+      // activation call in the same loop GCC splits it into odd pieces.
+      if (fused == nullptr) {
+        for (std::size_t t = 0; t < kPixelTile; ++t) ok[p0 + t] = acc[t];
+      } else {
+        for (std::size_t t = 0; t < kPixelTile; ++t) ok[p0 + t] = finish(acc[t]);
+      }
+    }
+    for (; p0 < pixels; ++p0) {
+      float acc = bk;
+      for (std::size_t q = 0; q < patch; ++q) acc += wk[q] * col[q * pixels + p0];
+      ok[p0] = finish(acc);
     }
   }
 }

@@ -29,10 +29,11 @@ class Conv2D final : public Layer {
   Shape output_shape(const Shape& input) const override;
   Tensor forward(const Tensor& input, bool train) override;
   void infer_into(const Tensor& input, Tensor& out) const override;
-  /// Fast path: im2col into `col` (at least col_scratch_size(input.shape())
-  /// floats) followed by a pixel-blocked GEMM, optionally applying `fused`
-  /// elementwise to each finished accumulator. Each output element sees the
-  /// exact accumulation sequence of forward(), so results are bit-identical.
+  /// Fast path: patch-major im2col into `col` (at least
+  /// col_scratch_size(input.shape()) floats), then each weight tap swept over
+  /// a tile of output pixels, optionally applying `fused` elementwise to each
+  /// finished accumulator. Each output element sees the exact accumulation
+  /// sequence of forward(), so results are bit-identical.
   void infer_into(const Tensor& input, Tensor& out, float* col, const Activation* fused) const;
   /// Floats of im2col scratch needed for an input of the given shape.
   std::size_t col_scratch_size(const Shape& input) const;

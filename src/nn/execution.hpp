@@ -130,6 +130,7 @@ class ExecutionContext {
     std::vector<std::vector<std::int32_t>> weights;  ///< per layer; empty if none
     std::vector<std::vector<std::int32_t>> biases;
     std::vector<std::int32_t> ping, pong;  ///< activation buffers
+    std::vector<std::int32_t> col;         ///< conv im2col rows, one per (c, m, n) tap
     std::vector<std::int64_t> acc;         ///< one conv output plane's accumulators
   };
   FixedState& fixed_state() { return fixed_; }

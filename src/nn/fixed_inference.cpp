@@ -37,43 +37,52 @@ void build_fixed_cache(const Network& net, const FixedPointFormat& format,
   fs.valid = true;
 }
 
-/// Loop order k -> c -> m -> n -> i -> j: each weight tap is loaded once and
-/// swept over contiguous input rows into one int64 accumulator plane per
-/// output channel. The products and sums are those of the textbook
-/// per-output window loop, and integer addition is exact, so the order does
-/// not change a single bit of the result. Where the compiler can target
-/// AVX2, it also emits an AVX2 clone, picked at load time on hosts that have
-/// it, whose row sweep uses packed 32x32->64 multiplies. ThreadSanitizer
-/// builds keep only the default clone: the load-time resolver runs before
-/// the TSan runtime is initialized and crashes.
+/// Patch-major im2col into `col` (row q = tap (c, m, n) of every output
+/// pixel), then each weight tap swept over the whole output plane into one
+/// int64 accumulator per output (`acc`, one plane per output channel). The
+/// products and sums are those of the textbook per-output window loop, and
+/// integer addition is exact, so the order does not change a single bit of
+/// the result. Where the compiler can target AVX2, it also emits an AVX2
+/// clone, picked at load time on hosts that have it, whose plane sweep uses
+/// packed 32x32->64 multiplies. ThreadSanitizer builds keep only the default
+/// clone: the load-time resolver runs before the TSan runtime is initialized
+/// and crashes.
 #if defined(CNN2FPGA_HAVE_AVX2) && !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("avx2", "default")))
 #endif
 void run_conv(const Conv2D& conv, const std::vector<Raw>& w, const std::vector<Raw>& b,
               const std::vector<Raw>& x, const Shape& in_shape, const Shape& out_shape,
-              const FixedPointFormat& format, std::vector<std::int64_t>& acc,
-              std::vector<Raw>& out) {
+              const FixedPointFormat& format, std::vector<Raw>& col,
+              std::vector<std::int64_t>& acc, std::vector<Raw>& out) {
   const std::size_t C = conv.in_channels(), KH = conv.kernel_h(), KW = conv.kernel_w();
   const std::size_t IH = in_shape.height(), IW = in_shape.width();
   const std::size_t OH = out_shape.height(), OW = out_shape.width();
   const std::size_t plane = OH * OW;
+  const std::size_t patch = C * KH * KW;
+
+  col.resize(patch * plane);
+  Raw* row = col.data();
+  for (std::size_t c = 0; c < C; ++c) {
+    for (std::size_t m = 0; m < KH; ++m) {
+      for (std::size_t n = 0; n < KW; ++n) {
+        for (std::size_t i = 0; i < OH; ++i) {
+          const Raw* src = x.data() + (c * IH + (i + m)) * IW + n;
+          for (std::size_t j = 0; j < OW; ++j) *row++ = src[j];
+        }
+      }
+    }
+  }
 
   out.resize(out_shape.elements());
   acc.resize(plane);
   for (std::size_t k = 0; k < conv.out_channels(); ++k) {
     // Bias is frac-scaled; products are 2*frac-scaled: align the bias up.
     std::fill(acc.begin(), acc.end(), static_cast<std::int64_t>(b[k]) << format.frac_bits);
-    for (std::size_t c = 0; c < C; ++c) {
-      for (std::size_t m = 0; m < KH; ++m) {
-        for (std::size_t n = 0; n < KW; ++n) {
-          const std::int64_t wv = w[((k * C + c) * KH + m) * KW + n];
-          for (std::size_t i = 0; i < OH; ++i) {
-            const Raw* xrow = x.data() + (c * IH + (i + m)) * IW + n;
-            std::int64_t* arow = acc.data() + i * OW;
-            for (std::size_t j = 0; j < OW; ++j) arow[j] += wv * xrow[j];
-          }
-        }
-      }
+    const Raw* wk = w.data() + k * patch;
+    for (std::size_t q = 0; q < patch; ++q) {
+      const std::int64_t wv = wk[q];
+      const Raw* cq = col.data() + q * plane;
+      for (std::size_t p = 0; p < plane; ++p) acc[p] += wv * cq[p];
     }
     Raw* oplane = out.data() + k * plane;
     for (std::size_t p = 0; p < plane; ++p) oplane[p] = fixed_renormalize(acc[p], format);
@@ -190,8 +199,8 @@ FixedForwardResult forward_fixed(const Network& net, const Tensor& input,
     const Layer& layer = net.layer(l);
     const Shape& out_shape = net.shape_after(l);
     if (const auto* conv = dynamic_cast<const Conv2D*>(&layer)) {
-      run_conv(*conv, fs.weights[l], fs.biases[l], *acts, shape, out_shape, format, fs.acc,
-               *next);
+      run_conv(*conv, fs.weights[l], fs.biases[l], *acts, shape, out_shape, format, fs.col,
+               fs.acc, *next);
     } else if (const auto* pool = dynamic_cast<const Pool2D*>(&layer)) {
       run_pool(*pool, *acts, shape, out_shape, format, *next);
     } else if (const auto* linear = dynamic_cast<const Linear*>(&layer)) {

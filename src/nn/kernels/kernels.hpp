@@ -1,16 +1,21 @@
 // Runtime-dispatched CPU microkernel engine.
 //
-// The seed inference path (Conv2D::infer_into's im2col + pixel-tiled GEMM,
-// Linear's row dot products) is strictly scalar: without -ffast-math the
-// compiler may not reassociate the dot-product reductions, so every MAC sits
-// on a serial FP-add dependency chain. This module adds a register-blocked
-// AVX2/FMA GEMM microkernel (6 rows x 16 columns of C per inner loop, 12 YMM
-// accumulators) over *packed* operand panels, plus vectorized im2col, pooling,
-// tanh/sigmoid and log-softmax, behind a runtime dispatch:
+// The scalar reference path (Conv2D::infer_into's patch-major im2col + tap
+// sweep over pixel tiles, Linear's 8-row blocks) may not reassociate a
+// reduction: without -ffast-math every output keeps one accumulator and one
+// serial add chain, and only independent outputs run side by side. This
+// module adds a register-blocked AVX2/FMA GEMM microkernel (6 rows x 16
+// columns of C per inner loop, 12 YMM accumulators) over *packed* operand
+// panels, plus vectorized im2col, pooling, tanh/sigmoid and log-softmax,
+// behind a runtime dispatch:
 //
-//   - Kind::kScalar executes the seed layer code unchanged — it remains the
-//     bit-exact reference oracle against Network::forward and the generated
-//     HLS C++ (the hardware model and fixed-point path always pin it).
+//   - Kind::kScalar executes the layers' own infer_into code. Every output
+//     sees exactly the IEEE multiplies and adds of the seed forward(), in the
+//     same order, so it remains the bit-exact reference oracle against
+//     Network::forward and the generated HLS C++ (the hardware model and
+//     fixed-point path always pin it). Those translation units are built
+//     with -ffp-contract=off so no compiler fuses a multiply-add in one loop
+//     and not in the other.
 //   - Kind::kAvx2 executes the packed SIMD engine. Outputs stay within 1e-4
 //     relative error of the scalar reference (FMA contraction + polynomial
 //     transcendentals; see tests/test_kernels.cpp), and the engine is

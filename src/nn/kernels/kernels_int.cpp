@@ -13,7 +13,9 @@
 #include "nn/kernels/kernels_int.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #if defined(__SSE2__)
@@ -513,29 +515,50 @@ const PackedWeightsS16& QuantPackCache::get16(std::size_t layer, const float* w,
   return e.p16;
 }
 
-const std::int8_t* QuantPackCache::lut8(ActKind act) {
-  Lut& lut = luts_.at(static_cast<std::size_t>(act));
-  std::call_once(lut.once, [&] {
-    lut.t8.resize(256);
-    for (int raw = -128; raw <= 127; ++raw) {
-      const float y = Activation::apply(act, fixed_dequantize(raw, format_));
-      lut.t8[raw + 128] = static_cast<std::int8_t>(fixed_quantize(y, format_));
+namespace {
+
+/// The table of one activation at one serving precision. It depends on
+/// nothing else (the precision fixes the format), so the process builds each
+/// one once, on first use, and every design shares it. int8 tables are
+/// indexed by raw + 128, int16 tables by uint16(raw).
+template <typename T>
+const T* shared_activation_table(ActKind act) {
+  struct Table {
+    std::once_flag once;
+    util::aligned_vector<T> values;
+  };
+  static std::array<Table, 3> tables;  // indexed by ActKind
+  Table& table = tables.at(static_cast<std::size_t>(act));
+  std::call_once(table.once, [&] {
+    const FixedPointFormat format = serve_precision_format(
+        sizeof(T) == 1 ? ServePrecision::kInt8 : ServePrecision::kInt16);
+    constexpr int lo = std::numeric_limits<T>::min(), hi = std::numeric_limits<T>::max();
+    table.values.resize(hi - lo + 1);
+    for (int raw = lo; raw <= hi; ++raw) {
+      const float y = Activation::apply(act, fixed_dequantize(raw, format));
+      const std::size_t index = sizeof(T) == 1
+                                    ? static_cast<std::size_t>(raw + 128)
+                                    : static_cast<std::size_t>(static_cast<std::uint16_t>(raw));
+      table.values[index] = static_cast<T>(fixed_quantize(y, format));
     }
   });
-  return lut.t8.data();
+  return table.values.data();
+}
+
+}  // namespace
+
+const std::int8_t* QuantPackCache::lut8(ActKind act) {
+  if (precision_ != ServePrecision::kInt8) {
+    throw std::logic_error("QuantPackCache::lut8: cache is not int8");
+  }
+  return shared_activation_table<std::int8_t>(act);
 }
 
 const std::int16_t* QuantPackCache::lut16(ActKind act) {
-  Lut& lut = luts_.at(static_cast<std::size_t>(act));
-  std::call_once(lut.once, [&] {
-    lut.t16.resize(65536);
-    for (int raw = -32768; raw <= 32767; ++raw) {
-      const float y = Activation::apply(act, fixed_dequantize(raw, format_));
-      lut.t16[static_cast<std::uint16_t>(raw)] =
-          static_cast<std::int16_t>(fixed_quantize(y, format_));
-    }
-  });
-  return lut.t16.data();
+  if (precision_ != ServePrecision::kInt16) {
+    throw std::logic_error("QuantPackCache::lut16: cache is not int16");
+  }
+  return shared_activation_table<std::int16_t>(act);
 }
 
 std::size_t QuantPackCache::built() const {

@@ -30,7 +30,6 @@
 // forward_fixed uses, so both engines and the fixed model agree bit-for-bit.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -179,8 +178,10 @@ class QuantPackCache {
   const PackedWeightsS16& get16(std::size_t layer, const float* w, const float* bias,
                                 std::size_t m, std::size_t k);
 
-  /// Lazily built activation tables (nullptr is never returned; ReLU needs no
-  /// table and must not ask for one).
+  /// Activation tables of this cache's precision (lut8 for int8, lut16 for
+  /// int16; nullptr is never returned; ReLU needs no table and must not ask
+  /// for one). They depend only on (precision, activation), so they are
+  /// process-wide: built once on first use and shared by every cache.
   const std::int8_t* lut8(ActKind act);
   const std::int16_t* lut16(ActKind act);
 
@@ -194,16 +195,9 @@ class QuantPackCache {
     PackedWeightsS16 p16;
     bool ready = false;
   };
-  struct Lut {
-    std::once_flag once;
-    util::aligned_vector<std::int8_t> t8;
-    util::aligned_vector<std::int16_t> t16;
-  };
-
   ServePrecision precision_;
   FixedPointFormat format_;
   std::vector<std::unique_ptr<Entry>> entries_;
-  std::array<Lut, 3> luts_;  ///< indexed by ActKind
 };
 
 }  // namespace cnn2fpga::nn::kernels

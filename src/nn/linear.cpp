@@ -63,11 +63,32 @@ void Linear::infer_into(const Tensor& input, Tensor& out, const Activation* fuse
   if (out.shape().elements() != out_features_) {
     throw std::invalid_argument("Linear::infer_into: output arena size mismatch");
   }
-  for (std::size_t j = 0; j < out_features_; ++j) {
-    float acc = bias_[j];
-    const float* wj = weights_.data() + j * in_features_;
-    for (std::size_t i = 0; i < in_features_; ++i) acc += wj[i] * input[i];
-    out[j] = fused == nullptr ? acc : Activation::apply(fused->act(), acc);
+  const auto finish = [fused](float acc) {
+    return fused != nullptr ? Activation::apply(fused->act(), acc) : acc;
+  };
+  // kRowBlock output rows share each pass over the input, one accumulator
+  // per row seeded with its bias and summed in i order: every row sees
+  // forward()'s exact sequence of IEEE multiplies and adds, while the block's
+  // independent chains overlap. Rows past the last full block run one by one.
+  constexpr std::size_t kRowBlock = 8;
+  const float* x = input.data();
+  const float* w = weights_.data();
+  std::size_t j0 = 0;
+  for (; j0 + kRowBlock <= out_features_; j0 += kRowBlock) {
+    const float* wj = w + j0 * in_features_;
+    float acc[kRowBlock];
+    for (std::size_t r = 0; r < kRowBlock; ++r) acc[r] = bias_[j0 + r];
+    for (std::size_t i = 0; i < in_features_; ++i) {
+      const float xi = x[i];
+      for (std::size_t r = 0; r < kRowBlock; ++r) acc[r] += wj[r * in_features_ + i] * xi;
+    }
+    for (std::size_t r = 0; r < kRowBlock; ++r) out[j0 + r] = finish(acc[r]);
+  }
+  for (; j0 < out_features_; ++j0) {
+    float acc = bias_[j0];
+    const float* wj = w + j0 * in_features_;
+    for (std::size_t i = 0; i < in_features_; ++i) acc += wj[i] * x[i];
+    out[j0] = finish(acc);
   }
 }
 

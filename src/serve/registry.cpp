@@ -15,16 +15,12 @@ using cnn2fpga::util::format;
 
 namespace {
 
-/// Seeded probe images run at deploy to anchor a quantized design to the
-/// fixed-point accuracy model. Eight images keep a quantized deploy cheap
-/// (well under one batch of serving work) while still exercising every layer.
-constexpr std::size_t kQuantProbes = 8;
-constexpr std::uint64_t kQuantProbeSeed = 0xC0FFEE51u;
-
 /// Run the deploy-time accuracy validation of a freshly built quantized
 /// design: for each probe, the fixed-point model (forward_fixed) provides the
 /// modeled error vs float and the expected scores, and the serving path is
 /// checked against both. The design is not yet published, so no lock is held.
+/// Serving probes run one image at a time on purpose: a batched probe would
+/// grow the pooled context's scratch to batch size for the design's lifetime.
 QuantReport validate_quantized(DeployedDesign& design) {
   QuantReport report;
   const nn::FixedPointFormat format = nn::serve_precision_format(design.precision);
@@ -142,6 +138,10 @@ DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
                                          : "DIVERGES from fixed model");
   }
 
+  // Evicted designs are released only after the lock: when the registry
+  // holds the last reference, freeing a design's network, packs and contexts
+  // would otherwise stall every concurrent find().
+  std::vector<std::shared_ptr<DeployedDesign>> evicted;
   std::lock_guard<std::mutex> lock(mutex_);
   if (const auto it = entries_.find(key); it != entries_.end()) {
     // Lost a deploy race: keep the incumbent (in-flight predictions may
@@ -153,8 +153,9 @@ DeployOutcome DesignRegistry::deploy(const core::NetworkDescriptor& descriptor,
   lru_.push_front(key);
   entries_.emplace(key, Entry{fresh, lru_.begin()});
   while (entries_.size() > capacity_) {
-    const std::string& victim = lru_.back();
-    LOG_DEBUG("serve") << format("registry evicting design %s", victim.c_str());
+    const auto victim = entries_.find(lru_.back());
+    LOG_DEBUG("serve") << format("registry evicting design %s", victim->first.c_str());
+    evicted.push_back(std::move(victim->second.design));
     entries_.erase(victim);
     lru_.pop_back();
     ++stats_.evictions;

@@ -50,6 +50,13 @@ struct BackendServeState {
   EwmaSeconds measured_seconds_per_image;
 };
 
+/// Deploy-time probes of a quantized design: kQuantProbes images drawn, in
+/// order, from U(-1, 1) by util::Rng(kQuantProbeSeed). Eight images keep a
+/// quantized deploy cheap (well under one batch of serving work) while still
+/// exercising every layer.
+inline constexpr std::size_t kQuantProbes = 8;
+inline constexpr std::uint64_t kQuantProbeSeed = 0xC0FFEE51u;
+
 /// Deploy-time validation report of a quantized design against the
 /// fixed-point accuracy model (nn::forward_fixed over seeded probe inputs).
 /// Default-initialized (validated == false) for float32 designs.

@@ -3,9 +3,9 @@
 // The redesign's contract is strict: `Network::infer(input, ctx)` through a
 // *scalar-pinned* context must equal the seed
 // `Network::forward(input, /*train=*/false)` bit-for-bit — the conv fast path
-// (im2col + pixel-tiled GEMM + fused bias/activation) replays the identical
-// IEEE operation sequence per output element, it only reorders independent
-// elements. These tests assert exact equality (EXPECT_EQ on floats, no
+// (patch-major im2col, each tap swept over a pixel tile, fused
+// bias/activation) replays the identical IEEE operation sequence per output
+// element, it only interleaves independent elements. These tests assert exact equality (EXPECT_EQ on floats, no
 // tolerance) across every layer kind, in float and fixed-point, single and
 // batched, and from many threads hammering one const network. Contexts that
 // must be exact are pinned to kernels::Kind::kScalar so the assertions hold
@@ -30,10 +30,14 @@ namespace {
 
 /// Architectures covering every layer kind and fusion shape: conv with and
 /// without a directly following activation, both pool kinds, linear with and
-/// without activation, with and without the trailing LogSoftMax.
+/// without activation, with and without the trailing LogSoftMax, plus the
+/// paper's Test-4 CIFAR network at full size.
 Network make_network(int arch, std::uint64_t seed) {
-  Network net(arch < 2 ? Shape{1, 16, 16} : (arch == 4 ? Shape{1, 2, 2} : Shape{2, 10, 10}),
-              "exec_test");
+  const Shape input = arch < 2     ? Shape{1, 16, 16}
+                      : arch == 4 ? Shape{1, 2, 2}
+                      : arch == 5 ? Shape{3, 32, 32}
+                                  : Shape{2, 10, 10};
+  Network net(input, "exec_test");
   switch (arch) {
     case 0:  // the paper's CNN shape: conv+tanh+pool twice, then linear head
       net.add_conv(2, 3, 3);
@@ -65,10 +69,20 @@ Network make_network(int arch, std::uint64_t seed) {
       net.add_linear(4);
       net.add_activation(ActKind::kTanh);
       break;
-    default:  // pure MLP: no conv at all
+    case 4:  // pure MLP: no conv at all
       net.add_linear(9);
       net.add_activation(ActKind::kTanh);
       net.add_linear(3);
+      net.add_logsoftmax();
+      break;
+    default:  // Test 4: 784- and 100-pixel planes, 75- and 300-tap patches
+      net.add_conv(12, 5, 5);
+      net.add_max_pool(2, 2);
+      net.add_conv(36, 5, 5);
+      net.add_max_pool(2, 2);
+      net.add_linear(36);
+      net.add_activation(ActKind::kTanh);
+      net.add_linear(10);
       net.add_logsoftmax();
       break;
   }
@@ -77,7 +91,7 @@ Network make_network(int arch, std::uint64_t seed) {
   return net;
 }
 
-constexpr int kArchCount = 5;
+constexpr int kArchCount = 6;
 
 /// Context pinned to the scalar engine: the bit-exact reference mode.
 ExecutionContext scalar_ctx(const Network& net) {

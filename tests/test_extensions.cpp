@@ -3,6 +3,9 @@
 // (the paper's stated future work).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string_view>
+
 #include "hls/roofline.hpp"
 #include "json/json.hpp"
 #include "util/base64.hpp"
@@ -46,6 +49,97 @@ TEST(Base64, RejectsMalformedInput) {
   EXPECT_FALSE(util::base64_decode("Zg==Zg==").has_value());  // padding mid-stream
   EXPECT_FALSE(util::base64_decode("Z===").has_value());      // 3 pad chars
   EXPECT_TRUE(util::base64_decode("").has_value());
+}
+
+namespace {
+
+/// Oracle: the textbook decoder, one character at a time. util::base64_decode
+/// decodes whole groups at once and must accept and reject the same inputs.
+std::optional<std::vector<std::uint8_t>> charwise_base64_decode(std::string_view text) {
+  static const std::string alphabet =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+  if (text.size() % 4 != 0) return std::nullopt;
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < text.size(); i += 4) {
+    int padding = 0;
+    std::uint32_t triple = 0;
+    for (std::size_t j = 0; j < 4; ++j) {
+      const char c = text[i + j];
+      if (c == '=') {
+        if (i + 4 != text.size() || j < 2) return std::nullopt;
+        ++padding;
+        triple <<= 6;
+        continue;
+      }
+      if (padding > 0) return std::nullopt;
+      const std::size_t value = alphabet.find(c);
+      if (c == '\0' || value == std::string::npos) return std::nullopt;
+      triple = (triple << 6) | static_cast<std::uint32_t>(value);
+    }
+    out.push_back(static_cast<std::uint8_t>(triple >> 16));
+    if (padding < 2) out.push_back(static_cast<std::uint8_t>(triple >> 8));
+    if (padding < 1) out.push_back(static_cast<std::uint8_t>(triple));
+  }
+  return out;
+}
+
+void expect_same_verdict(const std::string& text, const std::string& context) {
+  const auto got = util::base64_decode(text);
+  const auto want = charwise_base64_decode(text);
+  ASSERT_EQ(got.has_value(), want.has_value()) << context;
+  if (want) {
+    ASSERT_EQ(*got, *want) << context;
+  }
+}
+
+}  // namespace
+
+TEST(Base64, BadCharacterOrMisplacedPadAtEveryOffsetOfAKibiByteText) {
+  util::Rng rng(9);
+  std::vector<std::uint8_t> bytes(768);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
+  const std::string text = util::base64_encode(bytes);
+  ASSERT_EQ(text.size(), 1024u);
+  const char bad[] = {'!', '-', '_', ' ', '\0', '\x80', '\xff', '='};
+  for (std::size_t offset = 0; offset < text.size(); ++offset) {
+    for (const char c : bad) {
+      std::string mutated = text;
+      mutated[offset] = c;
+      const std::string context =
+          "offset " + std::to_string(offset) + " byte " + std::to_string(c & 0xFF);
+      expect_same_verdict(mutated, context);
+      // Only a '=' in the very last position is a legal (single) pad.
+      EXPECT_EQ(util::base64_decode(mutated).has_value(), c == '=' && offset == 1023)
+          << context;
+    }
+  }
+}
+
+TEST(Base64, EveryLastGroupAndLengthAgreesWithTheCharwiseDecoder) {
+  util::Rng rng(10);
+  for (std::size_t n = 0; n <= 64; ++n) {
+    std::vector<std::uint8_t> bytes(n);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
+    const std::string text = util::base64_encode(bytes);
+    const auto decoded = util::base64_decode(text);
+    ASSERT_TRUE(decoded.has_value()) << n;
+    EXPECT_EQ(*decoded, bytes) << n;
+    expect_same_verdict(text, "length " + std::to_string(n));
+  }
+  // Every last group over {data, '=', bad}, behind one full group and alone.
+  const char symbols[] = {'Q', '=', '!'};
+  for (const std::string prefix : {"", "Zm9v"}) {
+    for (const char c0 : symbols) {
+      for (const char c1 : symbols) {
+        for (const char c2 : symbols) {
+          for (const char c3 : symbols) {
+            expect_same_verdict(prefix + std::string{c0, c1, c2, c3},
+                                prefix + std::string{c0, c1, c2, c3});
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- roofline

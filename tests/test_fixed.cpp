@@ -15,6 +15,8 @@
 #include "util/fileio.hpp"
 #include "util/strings.hpp"
 
+#include "fixed_oracle.hpp"
+
 using namespace cnn2fpga;
 using nn::FixedPointFormat;
 using nn::NumericFormat;
@@ -154,77 +156,45 @@ TEST(FixedInference, ValidatesInput) {
   EXPECT_THROW(nn::forward_fixed(net, Tensor(Shape{1, 8, 8}), {16, 0}), std::invalid_argument);
 }
 
-namespace {
-
-std::vector<std::int32_t> quantize_all(const Tensor& t, const FixedPointFormat& fmt) {
-  std::vector<std::int32_t> out(t.size());
-  for (std::size_t i = 0; i < t.size(); ++i) out[i] = nn::fixed_quantize(t[i], fmt);
-  return out;
-}
-
-/// Oracle: the textbook conv loop, one output at a time with its own window
-/// and accumulator. forward_fixed's conv runs a different loop order and must
-/// match it bit for bit.
-std::vector<std::int32_t> naive_fixed_conv(const nn::Conv2D& conv,
-                                           const std::vector<std::int32_t>& x,
-                                           const Shape& in, const FixedPointFormat& fmt) {
-  const std::vector<std::int32_t> w = quantize_all(conv.weights(), fmt);
-  const std::vector<std::int32_t> b = quantize_all(conv.bias(), fmt);
-  const std::size_t C = conv.in_channels(), KH = conv.kernel_h(), KW = conv.kernel_w();
-  const std::size_t IH = in.height(), IW = in.width();
-  const std::size_t OH = IH - KH + 1, OW = IW - KW + 1;
-  std::vector<std::int32_t> out(conv.out_channels() * OH * OW);
-  for (std::size_t k = 0; k < conv.out_channels(); ++k) {
-    for (std::size_t i = 0; i < OH; ++i) {
-      for (std::size_t j = 0; j < OW; ++j) {
-        std::int64_t acc = static_cast<std::int64_t>(b[k]) << fmt.frac_bits;
-        for (std::size_t c = 0; c < C; ++c) {
-          for (std::size_t m = 0; m < KH; ++m) {
-            for (std::size_t n = 0; n < KW; ++n) {
-              const std::int64_t wv = w[((k * C + c) * KH + m) * KW + n];
-              const std::int64_t xv = x[(c * IH + (i + m)) * IW + (j + n)];
-              acc += wv * xv;
-            }
-          }
-        }
-        out[(k * OH + i) * OW + j] = nn::fixed_renormalize(acc, fmt);
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 TEST(FixedInference, ConvMatchesTheNaiveLoopOracle) {
-  // Two stacked convs without a LogSoftMax tail, so forward_fixed returns the
-  // dequantized raw outputs: a rectangular kernel over a multi-channel input,
-  // then a conv whose input has C = 4. Uniform inputs in [-4, 4] drive the
-  // narrow format into saturation as well.
-  for (const FixedPointFormat fmt :
-       {FixedPointFormat{16, 8}, FixedPointFormat{8, 4}, FixedPointFormat{32, 16}}) {
-    const Shape in{3, 9, 11};
-    nn::Network net(in, "conv_oracle");
-    net.add_conv(4, 3, 5);
-    net.add_conv(2, 4, 2);
+  // Stacked convs without a LogSoftMax tail, so forward_fixed returns the
+  // dequantized raw outputs. Cases: a rectangular kernel over a
+  // multi-channel input, then a conv whose input has C = 4; the paper's
+  // Test-4 conv2 (C = 12, 36 maps, 5x5 on 14x14: a 100-pixel plane that is
+  // not a whole number of pixel tiles); a conv whose output is one pixel.
+  // Uniform inputs in [-4, 4] drive the narrow format into saturation too.
+  struct ConvSpec {
+    std::size_t maps, kh, kw;
+  };
+  struct Case {
+    Shape in;
+    std::vector<ConvSpec> convs;
+  };
+  const Case cases[] = {
+      {Shape{3, 9, 11}, {{4, 3, 5}, {2, 4, 2}}},
+      {Shape{12, 14, 14}, {{36, 5, 5}}},
+      {Shape{2, 3, 4}, {{5, 3, 4}}},
+  };
+  for (const Case& spec : cases) {
+    nn::Network net(spec.in, "conv_oracle");
+    for (const ConvSpec& conv : spec.convs) net.add_conv(conv.maps, conv.kh, conv.kw);
     util::Rng rng(31);
     net.init_weights(rng);
-    nn::ExecutionContext ctx(net);
-    for (int trial = 0; trial < 4; ++trial) {
-      Tensor image(in);
-      image.fill_uniform(rng, -4.0f, 4.0f);
-      const auto& conv1 = dynamic_cast<const nn::Conv2D&>(net.layer(0));
-      const auto& conv2 = dynamic_cast<const nn::Conv2D&>(net.layer(1));
-      const std::vector<std::int32_t> mid =
-          naive_fixed_conv(conv1, quantize_all(image, fmt), in, fmt);
-      const std::vector<std::int32_t> expected =
-          naive_fixed_conv(conv2, mid, net.shape_after(0), fmt);
-
-      const nn::FixedForwardResult got = nn::forward_fixed(net, image, fmt, ctx, false);
-      ASSERT_EQ(got.scores.size(), expected.size()) << fmt.name();
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(got.scores[i], nn::fixed_dequantize(expected[i], fmt))
-            << fmt.name() << " trial " << trial << " output " << i;
+    for (const FixedPointFormat fmt :
+         {FixedPointFormat{16, 8}, FixedPointFormat{8, 4}, FixedPointFormat{32, 16}}) {
+      nn::ExecutionContext ctx(net);
+      for (int trial = 0; trial < 4; ++trial) {
+        Tensor image(spec.in);
+        image.fill_uniform(rng, -4.0f, 4.0f);
+        const std::vector<std::int32_t> expected = test::naive_fixed_logits(net, image, fmt);
+        const nn::FixedForwardResult got = nn::forward_fixed(net, image, fmt, ctx, false);
+        const std::string context = spec.in.to_string() + " " + fmt.name() + " trial " +
+                                    std::to_string(trial);
+        ASSERT_EQ(got.scores.size(), expected.size()) << context;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(got.scores[i], nn::fixed_dequantize(expected[i], fmt))
+              << context << " output " << i;
+        }
       }
     }
   }

@@ -636,3 +636,22 @@ TEST(QuantParity, SharedQuantPackCacheGivesIdenticalResults) {
     }
   }
 }
+
+TEST(QuantParity, CachesOfOnePrecisionShareOneActivationTable) {
+  // An activation table depends only on (precision, activation), so two
+  // designs' caches return the same process-wide table, built once.
+  kernels::QuantPackCache a8(1, ServePrecision::kInt8), b8(3, ServePrecision::kInt8);
+  kernels::QuantPackCache a16(1, ServePrecision::kInt16), b16(2, ServePrecision::kInt16);
+  for (const ActKind act : {ActKind::kTanh, ActKind::kSigmoid}) {
+    EXPECT_EQ(a8.lut8(act), b8.lut8(act));
+    EXPECT_EQ(a16.lut16(act), b16.lut16(act));
+  }
+  EXPECT_NE(a8.lut8(ActKind::kTanh), a8.lut8(ActKind::kSigmoid));
+  EXPECT_NE(a16.lut16(ActKind::kTanh), a16.lut16(ActKind::kSigmoid));
+  // A table belongs to one precision.
+  EXPECT_THROW((void)a16.lut8(ActKind::kTanh), std::logic_error);
+  EXPECT_THROW((void)a8.lut16(ActKind::kTanh), std::logic_error);
+  // Contents: tanh at raw 0 is 0, the table's middle entry.
+  EXPECT_EQ(a8.lut8(ActKind::kTanh)[128], 0);
+  EXPECT_EQ(a16.lut16(ActKind::kTanh)[0], 0);
+}

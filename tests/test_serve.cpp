@@ -3,8 +3,10 @@
 // concurrent clients, metrics consistency, and the hardened HTTP transport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <thread>
@@ -20,6 +22,8 @@
 #include "util/base64.hpp"
 #include "util/strings.hpp"
 #include "web/api.hpp"
+
+#include "fixed_oracle.hpp"
 
 using namespace cnn2fpga;
 using namespace cnn2fpga::serve;
@@ -172,6 +176,77 @@ TEST(Registry, DeployReportMatchesFrameworkGenerate) {
     } else {
       EXPECT_TRUE(report.hls_report.fits()) << d.name;
     }
+  }
+}
+
+TEST(Registry, QuantReportMatchesSeedForwardAndTheNaiveFixedLoop) {
+  // The deploy-time report of a quantized Test-4 design, recomputed from the
+  // seed float path (Layer::forward) and the textbook fixed-point loops
+  // instead of the scalar engine and forward_fixed it actually runs.
+  const core::NetworkDescriptor d = core::NetworkDescriptor::from_json_text(R"({
+      "name": "paper_test4", "board": "zedboard", "optimize": true,
+      "input": {"channels": 3, "height": 32, "width": 32},
+      "layers": [
+        {"type": "conv", "feature_maps_out": 12, "kernel": 5,
+         "pool": {"type": "max", "kernel": 2, "step": 2}},
+        {"type": "conv", "feature_maps_out": 36, "kernel": 5,
+         "pool": {"type": "max", "kernel": 2, "step": 2}},
+        {"type": "linear", "neurons": 36, "activation": "tanh"},
+        {"type": "linear", "neurons": 10}]})");
+  for (const nn::ServePrecision precision :
+       {nn::ServePrecision::kInt8, nn::ServePrecision::kInt16}) {
+    const std::string name = nn::serve_precision_name(precision);
+    DesignRegistry registry(2);
+    const DeployOutcome deployed = registry.deploy_random(d, 3, precision);
+    const QuantReport& report = deployed.design->quant;
+    const nn::FixedPointFormat fmt = nn::serve_precision_format(precision);
+
+    nn::Network net = d.build_network();
+    nn::deserialize_weights(net, nn::serialize_weights(deployed.design->net));
+    ASSERT_TRUE(dynamic_cast<const nn::LogSoftMax*>(&net.layer(net.layer_count() - 1)));
+    auto lease = deployed.design->contexts.acquire();
+    util::Rng rng(kQuantProbeSeed);
+    float max_abs_error = 0.0f;
+    std::size_t agree = 0;
+    bool matches = true;
+    for (std::size_t p = 0; p < kQuantProbes; ++p) {
+      tensor::Tensor input(net.input_shape());
+      input.fill_uniform(rng, -1.0f, 1.0f);
+      tensor::Tensor float_logits = input;
+      for (std::size_t l = 0; l + 1 < net.layer_count(); ++l) {
+        float_logits = net.layer(l).forward(float_logits, /*train=*/false);
+      }
+      const tensor::Tensor float_scores = net.forward(input, /*train=*/false);
+
+      const std::vector<std::int32_t> raw = test::naive_fixed_logits(net, input, fmt);
+      ASSERT_EQ(raw.size(), float_logits.size()) << name;
+      tensor::Tensor fixed_logits(nn::Shape{raw.size()});
+      for (std::size_t i = 0; i < raw.size(); ++i) {
+        fixed_logits[i] = nn::fixed_dequantize(raw[i], fmt);
+        max_abs_error = std::max(max_abs_error, std::fabs(float_logits[i] - fixed_logits[i]));
+      }
+      tensor::Tensor fixed_scores(fixed_logits.shape());
+      nn::LogSoftMax().infer_into(fixed_logits, fixed_scores);
+
+      const tensor::Tensor& served = deployed.design->net.infer(input, *lease);
+      matches = matches && served.shape() == fixed_scores.shape() &&
+                std::memcmp(served.data(), fixed_scores.data(), served.size() * sizeof(float)) ==
+                    0;
+      if (served.argmax() == float_scores.argmax()) ++agree;
+    }
+    EXPECT_TRUE(report.validated) << name;
+    EXPECT_EQ(report.probes, kQuantProbes) << name;
+    std::uint32_t want_bits = 0, got_bits = 0;
+    std::memcpy(&want_bits, &max_abs_error, sizeof want_bits);
+    std::memcpy(&got_bits, &report.max_abs_error, sizeof got_bits);
+    EXPECT_EQ(got_bits, want_bits) << name << ": " << report.max_abs_error << " vs "
+                                   << max_abs_error;
+    EXPECT_GT(max_abs_error, 0.0f) << name;
+    EXPECT_EQ(report.top1_agreement,
+              static_cast<double>(agree) / static_cast<double>(kQuantProbes))
+        << name;
+    EXPECT_TRUE(matches) << name;
+    EXPECT_EQ(report.matches_fixed_model, matches) << name;
   }
 }
 
